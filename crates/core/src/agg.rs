@@ -7,12 +7,13 @@
 //!
 //! Aggregate *argument* expressions are evaluated in the tuple phase, so
 //! they may reference input columns, group-by variables, and stateful
-//! functions.
+//! functions; the operator evaluates them and folds the value in with
+//! [`AggState::accumulate`].
 
 use sso_types::Value;
 
 use crate::error::OpError;
-use crate::expr::{EvalCtx, Expr};
+use crate::expr::Expr;
 
 /// Specification of one aggregate slot.
 #[derive(Debug, Clone)]
@@ -45,7 +46,7 @@ impl AggSpec {
     }
 
     /// The argument expression, if any.
-    fn arg(&self) -> Option<&Expr> {
+    pub(crate) fn arg(&self) -> Option<&Expr> {
         match self {
             AggSpec::Count => None,
             AggSpec::Sum(e)
@@ -55,14 +56,30 @@ impl AggSpec {
             | AggSpec::Last(e) => Some(e),
         }
     }
+}
 
-    /// Update `state` with one tuple, evaluating the argument in `ctx`.
-    pub fn update(&self, state: &mut AggState, ctx: &mut EvalCtx<'_>) -> Result<(), OpError> {
-        let arg = match self.arg() {
-            Some(e) => Some(e.eval(ctx)?),
-            None => None,
-        };
-        match (state, arg) {
+/// Runtime state of one aggregate slot.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AggState {
+    /// `count(*)` accumulator.
+    Count(u64),
+    /// `sum` accumulator (`Null` before the first value).
+    Sum(Value),
+    /// `min` accumulator.
+    Min(Value),
+    /// `max` accumulator.
+    Max(Value),
+    /// `first` latch.
+    First(Value),
+    /// `last` latch.
+    Last(Value),
+}
+
+impl AggState {
+    /// Fold one tuple's evaluated argument into the state (`None` for
+    /// `count(*)`, which takes none).
+    pub fn accumulate(&mut self, arg: Option<Value>) -> Result<(), OpError> {
+        match (self, arg) {
             (AggState::Count(c), None) => *c += 1,
             (AggState::Sum(acc), Some(v)) => {
                 *acc = if acc.is_null() { v } else { acc.add(&v)? };
@@ -91,26 +108,7 @@ impl AggSpec {
         }
         Ok(())
     }
-}
 
-/// Runtime state of one aggregate slot.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggState {
-    /// `count(*)` accumulator.
-    Count(u64),
-    /// `sum` accumulator (`Null` before the first value).
-    Sum(Value),
-    /// `min` accumulator.
-    Min(Value),
-    /// `max` accumulator.
-    Max(Value),
-    /// `first` latch.
-    First(Value),
-    /// `last` latch.
-    Last(Value),
-}
-
-impl AggState {
     /// The aggregate's current value.
     pub fn value(&self) -> Value {
         match self {
@@ -127,12 +125,14 @@ impl AggState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::EvalCtx;
     use sso_types::Tuple;
 
     fn update_with(spec: &AggSpec, state: &mut AggState, tuple_vals: Vec<Value>) {
         let t = Tuple::new(tuple_vals);
         let mut ctx = EvalCtx { tuple: Some(&t), ..EvalCtx::empty("AGG") };
-        spec.update(state, &mut ctx).unwrap();
+        let arg = spec.arg().map(|e| e.eval(&mut ctx).unwrap());
+        state.accumulate(arg).unwrap();
     }
 
     #[test]
@@ -199,10 +199,7 @@ mod tests {
 
     #[test]
     fn mismatched_state_errors() {
-        let spec = AggSpec::Count;
         let mut s = AggState::Sum(Value::Null);
-        let t = Tuple::new(vec![]);
-        let mut ctx = EvalCtx { tuple: Some(&t), ..EvalCtx::empty("AGG") };
-        assert!(spec.update(&mut s, &mut ctx).is_err());
+        assert!(s.accumulate(None).is_err(), "count's missing argument on a sum state");
     }
 }

@@ -7,6 +7,10 @@
 //! states; CLEANING BY and HAVING see a group's key and aggregates; and
 //! so on. Referencing context a clause does not provide is an
 //! [`OpError::MissingContext`].
+//!
+//! [`Expr::eval`] is the tree-walking reference evaluator. The operator
+//! and the runtime run clauses lowered by [`crate::compile`] instead;
+//! the differential tests hold the two to the same values and errors.
 
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
@@ -155,7 +159,29 @@ impl<'a> EvalCtx<'a> {
 }
 
 impl Expr {
-    /// Evaluate against a context.
+    /// Visit this node and every node below it, pre-order, stopping at
+    /// the first error `f` returns.
+    pub fn walk<E>(&self, f: &mut impl FnMut(&Expr) -> Result<(), E>) -> Result<(), E> {
+        f(self)?;
+        match self {
+            Expr::Literal(_)
+            | Expr::Column(_)
+            | Expr::GroupVar(_)
+            | Expr::Aggregate(_)
+            | Expr::SuperAgg(_) => Ok(()),
+            Expr::Binary { lhs, rhs, .. } => {
+                lhs.walk(f)?;
+                rhs.walk(f)
+            }
+            Expr::Not(e) => e.walk(f),
+            Expr::Sfun { args, .. } | Expr::Scalar { args, .. } => {
+                args.iter().try_for_each(|a| a.walk(f))
+            }
+        }
+    }
+
+    /// Evaluate against a context by walking the tree (the reference
+    /// semantics of [`crate::compile::CompiledExpr`]).
     pub fn eval(&self, ctx: &mut EvalCtx<'_>) -> Result<Value, OpError> {
         match self {
             Expr::Literal(v) => Ok(v.clone()),

@@ -19,7 +19,8 @@
 //!   decides which groups become output samples.
 //!
 //! The evaluation loop implemented by [`operator::SamplingOperator`]
-//! follows §6.4 step by step. The four representative algorithms are
+//! follows §6.4 step by step, over clauses lowered once, at
+//! construction, by [`compile`]. The four representative algorithms are
 //! provided as SFUN libraries in [`libs`] plus ready-made query shapes in
 //! [`queries`].
 //!
@@ -28,6 +29,7 @@
 //! [`operator::OperatorSpec`]s from query text.
 
 pub mod agg;
+pub mod compile;
 pub mod error;
 pub mod expr;
 pub mod libs;
@@ -41,6 +43,7 @@ pub mod snapshot;
 pub mod superagg;
 
 pub use agg::{AggSpec, AggState};
+pub use compile::{CompiledExpr, CompiledPred, Env, Scope};
 pub use error::{panic_message, OpError};
 pub use expr::{BinOp, EvalCtx, Expr};
 pub use merge::{shard_plan, ColumnRule, MergeRule, NotMergeable, ShardPlan};

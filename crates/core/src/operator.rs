@@ -23,6 +23,13 @@
 //! table (with its "old" twin for cross-window state carry-over), and
 //! the supergroup→groups index (kept in insertion order so output is
 //! deterministic).
+//!
+//! Every clause is lowered to a closure once, in
+//! [`SamplingOperator::new`] (see [`crate::compile`]). With no metrics
+//! attached, `process` allocates nothing and touches no atomic for a
+//! tuple that joins an existing group: the group table is probed once
+//! with the borrowed group-by values, and a key is allocated only for a
+//! new group.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -32,8 +39,9 @@ use sso_types::wire::{put_bytes, put_tuple, put_u32, take_tuple, Reader};
 use sso_types::{Tuple, Value};
 
 use crate::agg::{AggSpec, AggState};
+use crate::compile::{CompiledSuperAgg, Env, Program};
 use crate::error::OpError;
-use crate::expr::{EvalCtx, Expr};
+use crate::expr::Expr;
 use crate::metrics::OperatorMetrics;
 use crate::sfun::{SfunLibrary, SfunStates, SfunTelemetry};
 use crate::superagg::{SuperAggSpec, SuperAggState};
@@ -152,7 +160,26 @@ impl OperatorSpec {
                 "CLEANING WHEN and CLEANING BY must be specified together".into(),
             ));
         }
-        Ok(())
+        self.for_each_clause(|scope, e| e.walk(&mut |node| self.check_slot(node, scope.clause)))
+    }
+
+    /// A group-by variable, aggregate, superaggregate or SFUN-library
+    /// reference must name a slot this spec defines.
+    fn check_slot(&self, node: &Expr, clause: &str) -> Result<(), OpError> {
+        let (what, i, defined) = match node {
+            Expr::GroupVar(i) => ("group-by variable", *i, self.group_by.len()),
+            Expr::Aggregate(i) => ("aggregate slot", *i, self.aggregates.len()),
+            Expr::SuperAgg(i) => ("superaggregate slot", *i, self.superaggs.len()),
+            Expr::Sfun { lib, .. } => ("sfun library slot", *lib, self.sfun_libs.len()),
+            _ => return Ok(()),
+        };
+        if i < defined {
+            Ok(())
+        } else {
+            Err(OpError::InvalidSpec(format!(
+                "{clause}: {what} {i} out of range ({defined} defined)"
+            )))
+        }
     }
 
     /// Estimated resident bytes of one group-table entry under this
@@ -217,12 +244,6 @@ impl SizingHints {
     pub const MAX_RESERVE: usize = 1 << 20;
 }
 
-/// One group: its aggregate states. The key lives in the table.
-#[derive(Debug)]
-struct GroupEntry {
-    aggs: Vec<AggState>,
-}
-
 /// A pluggable group-table backend that may page entries to disk.
 ///
 /// The operator's group table is normally an in-RAM hash map. When live
@@ -273,72 +294,125 @@ pub struct SpillStats {
     pub spilled_pages: u64,
 }
 
-/// The group table: in-RAM by default, paged under a state budget.
-enum GroupTable {
-    Ram(FxHashMap<Tuple, GroupEntry>),
+/// The group table: in RAM by default, paged under a state budget.
+///
+/// Each live group holds a slot id, stable until the group is evicted or
+/// the window closes; supergroups list their members by slot, so
+/// cleaning and window close reach a group's aggregates without hashing
+/// its key.
+struct GroupTable {
+    /// Key of each slot (empty while the slot is free).
+    keys: Vec<Tuple>,
+    /// Slots of evicted groups, reused by the next new group.
+    free: Vec<u32>,
+    store: GroupStore,
+}
+
+enum GroupStore {
+    /// Key → slot, and aggregates by slot.
+    Ram { index: FxHashMap<Tuple, u32>, aggs: Vec<Vec<AggState>> },
+    /// Aggregates by key, possibly spilled.
     Paged(Box<dyn PagedBackend>),
 }
 
 impl GroupTable {
-    fn contains(&mut self, key: &Tuple) -> bool {
-        match self {
-            GroupTable::Ram(m) => m.contains_key(key),
-            GroupTable::Paged(b) => b.contains(key),
+    fn new(store: GroupStore) -> Self {
+        GroupTable { keys: Vec::new(), free: Vec::new(), store }
+    }
+
+    /// The aggregates of the live group with this key: one probe.
+    fn get_mut(&mut self, key: &Tuple) -> Option<&mut Vec<AggState>> {
+        match &mut self.store {
+            GroupStore::Ram { index, aggs } => index.get(key).map(|&id| &mut aggs[id as usize]),
+            GroupStore::Paged(b) => b.aggs_mut(key),
         }
     }
 
-    fn insert(&mut self, key: Tuple, aggs: Vec<AggState>) {
-        match self {
-            GroupTable::Ram(m) => {
-                m.insert(key, GroupEntry { aggs });
+    /// Add a group whose key is not live; returns its slot.
+    fn insert(&mut self, key: &Tuple, init: Vec<AggState>) -> u32 {
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None => {
+                self.keys.push(Tuple::default());
+                if let GroupStore::Ram { aggs, .. } = &mut self.store {
+                    aggs.push(Vec::new());
+                }
+                (self.keys.len() - 1) as u32
             }
-            GroupTable::Paged(b) => b.insert(key, aggs),
+        };
+        match &mut self.store {
+            GroupStore::Ram { index, aggs } => {
+                index.insert(key.clone(), id);
+                aggs[id as usize] = init;
+            }
+            GroupStore::Paged(b) => b.insert(key.clone(), init),
         }
+        self.keys[id as usize] = key.clone();
+        id
     }
 
-    fn aggs_mut(&mut self, key: &Tuple) -> Option<&mut Vec<AggState>> {
-        match self {
-            GroupTable::Ram(m) => m.get_mut(key).map(|e| &mut e.aggs),
-            GroupTable::Paged(b) => b.aggs_mut(key),
-        }
+    /// A live group's key and aggregates.
+    fn slot(&mut self, id: u32) -> (&Tuple, &mut Vec<AggState>) {
+        let key = &self.keys[id as usize];
+        let aggs = match &mut self.store {
+            GroupStore::Ram { aggs, .. } => &mut aggs[id as usize],
+            GroupStore::Paged(b) => b.aggs_mut(key).expect("live group slot"),
+        };
+        (key, aggs)
     }
 
-    fn remove(&mut self, key: &Tuple) -> Option<Vec<AggState>> {
-        match self {
-            GroupTable::Ram(m) => m.remove(key).map(|e| e.aggs),
-            GroupTable::Paged(b) => b.remove(key),
-        }
+    /// Evict a live group: one probe.
+    fn remove(&mut self, id: u32) -> (Tuple, Vec<AggState>) {
+        let key = std::mem::take(&mut self.keys[id as usize]);
+        let aggs = match &mut self.store {
+            GroupStore::Ram { index, aggs } => {
+                index.remove(&key);
+                std::mem::take(&mut aggs[id as usize])
+            }
+            GroupStore::Paged(b) => b.remove(&key).expect("live group slot"),
+        };
+        self.free.push(id);
+        (key, aggs)
     }
 
     fn len(&self) -> usize {
-        match self {
-            GroupTable::Ram(m) => m.len(),
-            GroupTable::Paged(b) => b.len(),
+        match &self.store {
+            GroupStore::Ram { index, .. } => index.len(),
+            GroupStore::Paged(b) => b.len(),
         }
     }
 
     fn clear(&mut self) {
-        match self {
-            GroupTable::Ram(m) => m.clear(),
-            GroupTable::Paged(b) => b.clear(),
+        self.keys.clear();
+        self.free.clear();
+        match &mut self.store {
+            GroupStore::Ram { index, aggs } => {
+                index.clear();
+                aggs.clear();
+            }
+            GroupStore::Paged(b) => b.clear(),
         }
     }
 
     fn reserve(&mut self, additional: usize) {
-        match self {
-            GroupTable::Ram(m) => m.reserve(additional),
-            GroupTable::Paged(b) => b.reserve(additional),
+        self.keys.reserve(additional);
+        match &mut self.store {
+            GroupStore::Ram { index, aggs } => {
+                index.reserve(additional);
+                aggs.reserve(additional);
+            }
+            GroupStore::Paged(b) => b.reserve(additional),
         }
     }
 }
 
-/// One supergroup: superaggregates, SFUN states, and its member groups
-/// in insertion order.
+/// One supergroup: superaggregates, SFUN states, and its member groups'
+/// slots in insertion order.
 struct SupergroupEntry {
     key: Tuple,
     superaggs: Vec<SuperAggState>,
     states: SfunStates,
-    groups: Vec<Tuple>,
+    groups: Vec<u32>,
 }
 
 /// Per-window counters (Figures 3–4 read these).
@@ -441,7 +515,8 @@ pub struct WindowOutput {
 
 /// The sampling operator runtime.
 pub struct SamplingOperator {
-    spec: Arc<OperatorSpec>,
+    spec: OperatorSpec,
+    program: Program,
     groups: GroupTable,
     sg_index: FxHashMap<Tuple, usize>,
     sgs: Vec<SupergroupEntry>,
@@ -455,11 +530,12 @@ pub struct SamplingOperator {
     // persist them without re-deriving window keys per tuple.
     capture_flush: bool,
     flush_state: Option<(Vec<u8>, Vec<u8>)>,
-    // Reused per-tuple buffers (group-by values, supergroup key);
-    // process() runs for every input tuple, so its allocations dominate
-    // rejected-tuple cost.
-    gb_scratch: Vec<Value>,
-    sg_scratch: Vec<Value>,
+    // Reused buffers: the tuple's group-by values (lent to the group
+    // lookup as its key), the supergroup key, and the members a cleaning
+    // pass keeps.
+    gb: Vec<Value>,
+    sg_key: Vec<Value>,
+    kept: Vec<u32>,
 }
 
 impl std::fmt::Debug for SamplingOperator {
@@ -474,12 +550,16 @@ impl std::fmt::Debug for SamplingOperator {
 }
 
 impl SamplingOperator {
-    /// Build an operator from a validated spec.
+    /// Build an operator from a validated spec, lowering its clauses.
     pub fn new(spec: OperatorSpec) -> Result<Self, OpError> {
         spec.validate()?;
         Ok(SamplingOperator {
-            spec: Arc::new(spec),
-            groups: GroupTable::Ram(FxHashMap::default()),
+            program: Program::lower(&spec),
+            spec,
+            groups: GroupTable::new(GroupStore::Ram {
+                index: FxHashMap::default(),
+                aggs: Vec::new(),
+            }),
             sg_index: FxHashMap::default(),
             sgs: Vec::new(),
             old_sgs: FxHashMap::default(),
@@ -489,8 +569,9 @@ impl SamplingOperator {
             metrics: None,
             capture_flush: false,
             flush_state: None,
-            gb_scratch: Vec::new(),
-            sg_scratch: Vec::new(),
+            gb: Vec::new(),
+            sg_key: Vec::new(),
+            kept: Vec::new(),
         })
     }
 
@@ -506,15 +587,15 @@ impl SamplingOperator {
     /// entries are not migrated.
     pub fn set_group_backend(&mut self, backend: Box<dyn PagedBackend>) {
         debug_assert_eq!(self.groups.len(), 0, "backend swap on a live group table");
-        self.groups = GroupTable::Paged(backend);
+        self.groups = GroupTable::new(GroupStore::Paged(backend));
     }
 
     /// Spill counters when a paged backend is installed; `None` for the
     /// default in-RAM table.
     pub fn spill_stats(&self) -> Option<SpillStats> {
-        match &self.groups {
-            GroupTable::Ram(_) => None,
-            GroupTable::Paged(b) => Some(SpillStats {
+        match &self.groups.store {
+            GroupStore::Ram { .. } => None,
+            GroupStore::Paged(b) => Some(SpillStats {
                 resident_bytes: b.resident_bytes(),
                 peak_resident_bytes: b.peak_resident_bytes(),
                 page_faults: b.page_faults(),
@@ -590,22 +671,22 @@ impl SamplingOperator {
     /// window's output is returned (the tuple itself is processed into
     /// the new window).
     pub fn process(&mut self, tuple: &Tuple) -> Result<Option<WindowOutput>, OpError> {
-        let _span = self.metrics.as_ref().and_then(|m| m.process_span.start());
-        let spec = Arc::clone(&self.spec);
-        // 1. Group-by values, into the reused scratch buffer (an eval
-        // error forfeits the buffer; the next tuple just reallocates).
-        let mut gb = std::mem::take(&mut self.gb_scratch);
-        gb.clear();
-        {
-            let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("GROUP BY") };
-            for (_, e) in &spec.group_by {
-                gb.push(e.eval(&mut ctx)?);
-            }
+        // Sampled by this operator's own tuple count: no shared atomic
+        // counter per tuple.
+        let n = self.stats.tuples + self.wstats.tuples;
+        let _span = self.metrics.as_ref().and_then(|m| m.process_span.start_nth(n));
+        // 1. Group-by values, into the reused buffer. Those nothing
+        // reads before WHERE, and which cannot fail, wait for admission.
+        self.gb.clear();
+        self.gb.resize(self.spec.group_by.len(), Value::Null);
+        let mut env = Env::tuple(tuple);
+        for (i, e) in &self.program.group_by {
+            self.gb[*i] = e.eval(&mut env)?;
         }
         // 2. Window boundary: compare in place, allocate the window-value
         // vector only when the window actually turns over.
         let same_window = match &self.window {
-            Some(cur) => spec.window_indices.iter().map(|&i| &gb[i]).eq(cur.iter()),
+            Some(cur) => self.spec.window_indices.iter().map(|&i| &self.gb[i]).eq(cur.iter()),
             None => false,
         };
         let out = if same_window {
@@ -615,168 +696,144 @@ impl SamplingOperator {
                 Some(_) => Some(self.flush_window()?),
                 None => None,
             };
-            self.window = Some(spec.window_indices.iter().map(|&i| gb[i].clone()).collect());
+            self.window =
+                Some(self.spec.window_indices.iter().map(|&i| self.gb[i].clone()).collect());
             o
         };
         self.wstats.tuples += 1;
         // 3. Supergroup lookup / creation (with state carry-over). The
-        // lookup borrows a reused value buffer; a key `Tuple` is only
-        // allocated when the supergroup is new.
-        self.sg_scratch.clear();
-        self.sg_scratch.extend(spec.supergroup_indices.iter().map(|&i| gb[i].clone()));
-        let sg_idx = match self.sg_index.get(self.sg_scratch.as_slice()) {
-            Some(&i) => i,
-            None => {
-                let sg_key = Tuple::new(std::mem::take(&mut self.sg_scratch));
-                let old = self.old_sgs.get(&sg_key);
-                let states: SfunStates = spec
-                    .sfun_libs
-                    .iter()
-                    .enumerate()
-                    .map(|(li, lib)| {
-                        let prev = old.and_then(|v| v.get(li)).map(|b| b.as_ref() as &dyn Any);
-                        lib.init_state(prev)
-                    })
-                    .collect();
-                let superaggs = spec.superaggs.iter().map(|s| s.init()).collect();
-                let idx = self.sgs.len();
-                self.sgs.push(SupergroupEntry {
-                    key: sg_key.clone(),
-                    superaggs,
-                    states,
-                    groups: Vec::new(),
-                });
-                self.sg_index.insert(sg_key, idx);
-                idx
+        // `ALL` supergroup is the window's only one: nothing to hash.
+        let sg_idx = if self.spec.supergroup_indices.is_empty() && !self.sgs.is_empty() {
+            0
+        } else {
+            self.sg_key.clear();
+            self.sg_key.extend(self.spec.supergroup_indices.iter().map(|&i| self.gb[i].clone()));
+            match self.sg_index.get(self.sg_key.as_slice()) {
+                Some(&i) => i,
+                None => self.new_supergroup(),
             }
         };
         // 4. WHERE.
-        let admitted = match &spec.where_clause {
-            Some(w) => {
-                let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
-                let mut ctx = EvalCtx {
-                    clause: "WHERE",
-                    tuple: Some(tuple),
-                    group_vars: Some(&gb),
-                    aggs: None,
-                    superaggs: Some(superaggs),
-                    sfun_states: Some(states.as_mut_slice()),
-                };
-                w.eval_bool(&mut ctx)?
+        let SupergroupEntry { superaggs, states, groups: members, .. } = &mut self.sgs[sg_idx];
+        if let Some(w) = &self.program.where_clause {
+            let mut env =
+                Env { tuple: tuple.values(), group_vars: &self.gb, aggs: &[], superaggs, states };
+            if !w.eval(&mut env)? {
+                return Ok(out);
             }
-            None => true,
-        };
-        if !admitted {
-            gb.clear();
-            self.gb_scratch = gb;
-            return Ok(out);
         }
         self.wstats.admitted += 1;
+        let mut env = Env::tuple(tuple);
+        for (i, e) in &self.program.group_by_admitted {
+            self.gb[*i] = e.eval(&mut env)?;
+        }
         // 5. Superaggregate per-tuple updates.
-        {
-            let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
-            for (i, sa) in spec.superaggs.iter().enumerate() {
-                let mut ctx = EvalCtx {
-                    clause: "SUPERAGG",
-                    tuple: Some(tuple),
-                    group_vars: Some(&gb),
-                    aggs: None,
-                    superaggs: None,
-                    sfun_states: Some(states.as_mut_slice()),
+        let supers = self.spec.superaggs.iter().zip(&self.program.superaggs);
+        for (state, (spec, c)) in superaggs.iter_mut().zip(supers) {
+            if let Some(arg) = &c.on_tuple {
+                let mut env = Env {
+                    tuple: tuple.values(),
+                    group_vars: &self.gb,
+                    aggs: &[],
+                    superaggs: &[],
+                    states,
                 };
-                sa.on_tuple(&mut superaggs[i], &mut ctx)?;
+                spec.on_tuple(state, arg.eval(&mut env)?)?;
             }
         }
-        // 6. Group lookup / creation and aggregate update.
-        let gkey = Tuple::new(gb.clone());
-        let is_new = !self.groups.contains(&gkey);
-        if is_new {
-            let aggs = spec.aggregates.iter().map(|a| a.init()).collect();
-            self.groups.insert(gkey.clone(), aggs);
-            self.wstats.groups_created += 1;
-        }
-        {
-            let entry_aggs = self.groups.aggs_mut(&gkey).expect("group just ensured");
-            let SupergroupEntry { superaggs, states, groups: sg_groups, .. } =
-                &mut self.sgs[sg_idx];
-            for (i, a) in spec.aggregates.iter().enumerate() {
-                let mut ctx = EvalCtx {
-                    clause: "AGGREGATE",
-                    tuple: Some(tuple),
-                    group_vars: Some(&gb),
-                    aggs: None,
-                    superaggs: None,
-                    sfun_states: Some(states.as_mut_slice()),
-                };
-                a.update(&mut entry_aggs[i], &mut ctx)?;
+        // 6. Group lookup (one probe with the borrowed group-by values)
+        // or creation, and aggregate update. The buffer is lent out as
+        // the key and taken back whatever happens.
+        let gkey = Tuple::new(std::mem::take(&mut self.gb));
+        let updated = match self.groups.get_mut(&gkey) {
+            Some(aggs) => self.program.update_aggs(aggs, tuple, &gkey, states),
+            None => {
+                let init = self.spec.aggregates.iter().map(AggSpec::init).collect();
+                let id = self.groups.insert(&gkey, init);
+                self.wstats.groups_created += 1;
+                let (_, aggs) = self.groups.slot(id);
+                self.program.update_aggs(aggs, tuple, &gkey, states).and_then(|()| {
+                    members.push(id);
+                    let supers = self.spec.superaggs.iter().zip(&self.program.superaggs);
+                    for (state, (spec, c)) in superaggs.iter_mut().zip(supers) {
+                        spec.on_group_add(state, group_arg(c, gkey.values())?)?;
+                    }
+                    Ok(())
+                })
             }
-            if is_new {
-                sg_groups.push(gkey.clone());
-                for (i, sa) in spec.superaggs.iter().enumerate() {
-                    sa.on_group_add(&mut superaggs[i], &gb)?;
-                }
-            }
-        }
+        };
+        self.gb = gkey.into_values();
+        updated?;
         // 7. CLEANING WHEN / cleaning phase.
-        if let Some(cw) = &spec.cleaning_when {
-            let trigger = {
-                let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
-                let mut ctx = EvalCtx {
-                    clause: "CLEANING WHEN",
-                    tuple: Some(tuple),
-                    group_vars: Some(&gb),
-                    aggs: None,
-                    superaggs: Some(superaggs),
-                    sfun_states: Some(states.as_mut_slice()),
-                };
-                cw.eval_bool(&mut ctx)?
-            };
-            if trigger {
+        if let Some(cw) = &self.program.cleaning_when {
+            let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
+            let mut env =
+                Env { tuple: tuple.values(), group_vars: &self.gb, aggs: &[], superaggs, states };
+            if cw.eval(&mut env)? {
                 self.wstats.cleaning_phases += 1;
                 self.clean_supergroup(sg_idx)?;
             }
         }
-        gb.clear();
-        self.gb_scratch = gb;
         Ok(out)
+    }
+
+    /// Open the supergroup keyed by `sg_key`, inheriting state from the
+    /// previous window's supergroup with that key.
+    fn new_supergroup(&mut self) -> usize {
+        let key = Tuple::new(std::mem::take(&mut self.sg_key));
+        let old = self.old_sgs.get(&key);
+        let states: SfunStates = self
+            .spec
+            .sfun_libs
+            .iter()
+            .enumerate()
+            .map(|(li, lib)| {
+                let prev = old.and_then(|v| v.get(li)).map(|b| b.as_ref() as &dyn Any);
+                lib.init_state(prev)
+            })
+            .collect();
+        let superaggs = self.spec.superaggs.iter().map(|s| s.init()).collect();
+        let idx = self.sgs.len();
+        self.sgs.push(SupergroupEntry { key: key.clone(), superaggs, states, groups: Vec::new() });
+        self.sg_index.insert(key, idx);
+        idx
     }
 
     /// Apply CLEANING BY to every group of supergroup `sg_idx`, evicting
     /// groups for which it is false.
     fn clean_supergroup(&mut self, sg_idx: usize) -> Result<(), OpError> {
         let _span = self.metrics.as_ref().and_then(|m| m.clean_span.start());
-        let spec = Arc::clone(&self.spec);
-        let Some(cb) = &spec.cleaning_by else {
+        let Some(cb) = &self.program.cleaning_by else {
             return Ok(());
         };
-        let group_keys = std::mem::take(&mut self.sgs[sg_idx].groups);
-        let mut kept = Vec::with_capacity(group_keys.len());
-        for gkey in group_keys {
-            let keep = {
-                let entry_aggs = self.groups.aggs_mut(&gkey).expect("group listed in supergroup");
-                let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
-                let mut ctx = EvalCtx {
-                    clause: "CLEANING BY",
-                    tuple: None,
-                    group_vars: Some(gkey.values()),
-                    aggs: Some(entry_aggs),
-                    superaggs: Some(superaggs),
-                    sfun_states: Some(states.as_mut_slice()),
-                };
-                cb.eval_bool(&mut ctx)?
+        let SupergroupEntry { superaggs, states, groups: members, .. } = &mut self.sgs[sg_idx];
+        // Members move to `kept` as they pass; an error leaves the
+        // supergroup's member list empty.
+        let ids = std::mem::take(members);
+        let mut kept = std::mem::take(&mut self.kept);
+        for &id in &ids {
+            let (key, aggs) = self.groups.slot(id);
+            let mut env = Env {
+                tuple: &[],
+                group_vars: key.values(),
+                aggs: aggs.as_slice(),
+                superaggs,
+                states,
             };
-            if keep {
-                kept.push(gkey);
-            } else {
-                self.wstats.evictions += 1;
-                let entry_aggs = self.groups.remove(&gkey).expect("group listed in supergroup");
-                let superaggs = &mut self.sgs[sg_idx].superaggs;
-                for (i, sa) in spec.superaggs.iter().enumerate() {
-                    sa.on_group_remove(&mut superaggs[i], gkey.values(), &entry_aggs)?;
-                }
+            if cb.eval(&mut env)? {
+                kept.push(id);
+                continue;
+            }
+            self.wstats.evictions += 1;
+            let (key, aggs) = self.groups.remove(id);
+            let supers = self.spec.superaggs.iter().zip(&self.program.superaggs);
+            for (state, (spec, c)) in superaggs.iter_mut().zip(supers) {
+                spec.on_group_remove(state, group_arg(c, key.values())?, &aggs)?;
             }
         }
-        self.sgs[sg_idx].groups = kept;
+        *members = kept;
+        self.kept = ids;
+        self.kept.clear();
         Ok(())
     }
 
@@ -784,36 +841,32 @@ impl SamplingOperator {
     /// carry-over, table reset.
     fn flush_window(&mut self) -> Result<WindowOutput, OpError> {
         let _span = self.metrics.as_ref().and_then(|m| m.window_span.start());
-        let spec = Arc::clone(&self.spec);
         // Signal window end to every state (the paper's final_init()).
         for sg in &mut self.sgs {
-            for (li, lib) in spec.sfun_libs.iter().enumerate() {
+            for (li, lib) in self.spec.sfun_libs.iter().enumerate() {
                 lib.on_window_end(sg.states[li].as_mut());
             }
         }
         let mut rows = Vec::new();
-        for sg_idx in 0..self.sgs.len() {
-            let group_keys = std::mem::take(&mut self.sgs[sg_idx].groups);
-            for gkey in group_keys {
-                let entry_aggs = self.groups.aggs_mut(&gkey).expect("group listed in supergroup");
-                let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
-                let mut ctx = EvalCtx {
-                    clause: "HAVING",
-                    tuple: None,
-                    group_vars: Some(gkey.values()),
-                    aggs: Some(entry_aggs),
-                    superaggs: Some(superaggs),
-                    sfun_states: Some(states.as_mut_slice()),
+        for sg in &mut self.sgs {
+            let SupergroupEntry { superaggs, states, groups: members, .. } = sg;
+            for id in std::mem::take(members) {
+                let (key, aggs) = self.groups.slot(id);
+                let mut env = Env {
+                    tuple: &[],
+                    group_vars: key.values(),
+                    aggs: aggs.as_slice(),
+                    superaggs,
+                    states,
                 };
-                let keep = match &spec.having {
-                    Some(h) => h.eval_bool(&mut ctx)?,
+                let keep = match &self.program.having {
+                    Some(h) => h.eval(&mut env)?,
                     None => true,
                 };
                 if keep {
-                    ctx.clause = "SELECT";
-                    let mut row = Vec::with_capacity(spec.select.len());
-                    for (_, e) in &spec.select {
-                        row.push(e.eval(&mut ctx)?);
+                    let mut row = Vec::with_capacity(self.program.select.len());
+                    for e in &self.program.select {
+                        row.push(e.eval(&mut env)?);
                     }
                     rows.push(Tuple::new(row));
                 }
@@ -826,7 +879,7 @@ impl SamplingOperator {
         let telemetry = if self.metrics.is_some() {
             let mut acc: Option<SfunTelemetry> = None;
             for sg in &self.sgs {
-                for (li, lib) in spec.sfun_libs.iter().enumerate() {
+                for (li, lib) in self.spec.sfun_libs.iter().enumerate() {
                     if let Some(t) = lib.probe_telemetry(sg.states[li].as_ref()) {
                         let a = acc.get_or_insert_with(SfunTelemetry::default);
                         a.threshold = a.threshold.max(t.threshold);
@@ -1003,6 +1056,45 @@ impl SamplingOperator {
     }
 }
 
+/// A superaggregate's group-key argument evaluated on `key`; `None` for
+/// the kinds that take none.
+fn group_arg(c: &CompiledSuperAgg, key: &[Value]) -> Result<Option<Value>, OpError> {
+    let Some(arg) = &c.on_group else {
+        return Ok(None);
+    };
+    let mut env = Env { tuple: &[], group_vars: key, aggs: &[], superaggs: &[], states: &mut [] };
+    arg.eval(&mut env).map(Some)
+}
+
+impl Program {
+    /// Fold one tuple into a group's aggregates, in slot order.
+    fn update_aggs(
+        &self,
+        aggs: &mut [AggState],
+        tuple: &Tuple,
+        key: &Tuple,
+        states: &mut SfunStates,
+    ) -> Result<(), OpError> {
+        for (state, arg) in aggs.iter_mut().zip(&self.aggregates) {
+            let value = match arg {
+                Some(e) => {
+                    let mut env = Env {
+                        tuple: tuple.values(),
+                        group_vars: key.values(),
+                        aggs: &[],
+                        superaggs: &[],
+                        states,
+                    };
+                    Some(e.eval(&mut env)?)
+                }
+                None => None,
+            };
+            state.accumulate(value)?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1162,6 +1254,48 @@ mod tests {
         let mut spec = simple_agg_spec();
         spec.cleaning_when = Some(Expr::lit(true));
         assert!(SamplingOperator::new(spec).is_err(), "CLEANING WHEN without CLEANING BY");
+    }
+
+    fn assert_slot_rejected(spec: OperatorSpec, what: &str) {
+        match SamplingOperator::new(spec) {
+            Err(OpError::InvalidSpec(msg)) => {
+                assert!(msg.contains(what) && msg.contains("out of range"), "{msg}")
+            }
+            other => panic!("expected InvalidSpec for {what}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validation_rejects_out_of_range_group_var() {
+        let mut spec = simple_agg_spec();
+        spec.select.push(("x".into(), Expr::GroupVar(2)));
+        assert_slot_rejected(spec, "SELECT: group-by variable 2");
+    }
+
+    #[test]
+    fn validation_rejects_out_of_range_aggregate() {
+        let mut spec = simple_agg_spec();
+        spec.having = Some(Expr::Aggregate(2).ge(Expr::lit(1u64)));
+        assert_slot_rejected(spec, "HAVING: aggregate slot 2");
+    }
+
+    #[test]
+    fn validation_rejects_out_of_range_superaggregate() {
+        let mut spec = simple_agg_spec();
+        spec.where_clause = Some(Expr::Column(2).le(Expr::SuperAgg(0)));
+        assert_slot_rejected(spec, "WHERE: superaggregate slot 0");
+    }
+
+    #[test]
+    fn validation_rejects_out_of_range_sfun_library() {
+        let lib = crate::libs::heavy_hitter::library();
+        let mut spec = simple_agg_spec();
+        spec.sfun_libs = vec![Arc::new(lib)];
+        let lib = &spec.sfun_libs[0];
+        let call =
+            crate::queries::sfun_expr(1, lib, "local_count", vec![Expr::lit(10u64)]).unwrap();
+        spec.where_clause = Some(call.eq(Expr::lit(true)));
+        assert_slot_rejected(spec, "WHERE: sfun library slot 1");
     }
 
     #[test]

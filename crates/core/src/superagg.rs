@@ -19,7 +19,7 @@ use sso_types::Value;
 
 use crate::agg::AggState;
 use crate::error::OpError;
-use crate::expr::{EvalCtx, Expr};
+use crate::expr::Expr;
 
 /// A totally ordered wrapper over [`Value`] (via [`Value::compare`],
 /// which is total), so values can key a `BTreeMap`.
@@ -116,42 +116,56 @@ impl SuperAggSpec {
         }
     }
 
-    /// Per-tuple update (runs for every tuple passing WHERE).
-    pub fn on_tuple(
-        &self,
-        state: &mut SuperAggState,
-        ctx: &mut EvalCtx<'_>,
-    ) -> Result<(), OpError> {
-        if let (SuperAggSpec::Sum { expr, .. }, SuperAggState::Sum(acc)) = (self, state) {
-            let v = expr.eval(ctx)?;
-            *acc = if acc.is_null() { v } else { acc.add(&v)? };
+    /// The argument evaluated on every admitted tuple (`sum$`'s).
+    pub(crate) fn tuple_arg(&self) -> Option<&Expr> {
+        match self {
+            SuperAggSpec::Sum { expr, .. } => Some(expr),
+            _ => None,
+        }
+    }
+
+    /// The argument evaluated on a group's key when it joins or leaves
+    /// the supergroup (`Kth_smallest_value$`, `min$`, `max$`).
+    pub(crate) fn group_arg(&self) -> Option<&Expr> {
+        match self {
+            SuperAggSpec::KthSmallest { expr, .. } | SuperAggSpec::Extreme { expr, .. } => {
+                Some(expr)
+            }
+            _ => None,
+        }
+    }
+
+    /// Per-tuple update (runs for every tuple passing WHERE): `value` is
+    /// `sum$`'s argument evaluated on the tuple.
+    pub fn on_tuple(&self, state: &mut SuperAggState, value: Value) -> Result<(), OpError> {
+        if let (SuperAggSpec::Sum { .. }, SuperAggState::Sum(acc)) = (self, state) {
+            *acc = if acc.is_null() { value } else { acc.add(&value)? };
         }
         Ok(())
     }
 
-    /// A new group with key `group_key` joined the supergroup.
+    /// A new group joined the supergroup. `value` is the spec's group
+    /// argument evaluated on the group key (`Kth_smallest_value$`,
+    /// `min$`, `max$`); `None` for the kinds that take none.
     pub fn on_group_add(
         &self,
         state: &mut SuperAggState,
-        group_key: &[Value],
+        value: Option<Value>,
     ) -> Result<(), OpError> {
-        match (self, state) {
-            (SuperAggSpec::CountDistinct, SuperAggState::CountDistinct(n)) => {
+        match (self, state, value) {
+            (SuperAggSpec::CountDistinct, SuperAggState::CountDistinct(n), None) => {
                 *n += 1;
             }
             (
-                SuperAggSpec::KthSmallest { expr, .. },
+                SuperAggSpec::KthSmallest { .. },
                 SuperAggState::KthSmallest { tracker, len, .. },
+                Some(v),
             ) => {
-                let mut ctx = EvalCtx { group_vars: Some(group_key), ..EvalCtx::empty("SUPERAGG") };
-                let v = expr.eval(&mut ctx)?;
                 *tracker.entry(OrdValue(v)).or_insert(0) += 1;
                 *len += 1;
             }
-            (SuperAggSpec::Sum { .. }, SuperAggState::Sum(_)) => {}
-            (SuperAggSpec::Extreme { expr, .. }, SuperAggState::Extreme { tracker, .. }) => {
-                let mut ctx = EvalCtx { group_vars: Some(group_key), ..EvalCtx::empty("SUPERAGG") };
-                let v = expr.eval(&mut ctx)?;
+            (SuperAggSpec::Sum { .. }, SuperAggState::Sum(_), None) => {}
+            (SuperAggSpec::Extreme { .. }, SuperAggState::Extreme { tracker, .. }, Some(v)) => {
                 *tracker.entry(OrdValue(v)).or_insert(0) += 1;
             }
             _ => {
@@ -163,23 +177,24 @@ impl SuperAggSpec {
         Ok(())
     }
 
-    /// A group was evicted (cleaning phase or failed HAVING).
+    /// A group was evicted (cleaning phase or failed HAVING). `value` is
+    /// as for [`Self::on_group_add`]; `aggs` are the group's aggregates.
     pub fn on_group_remove(
         &self,
         state: &mut SuperAggState,
-        group_key: &[Value],
+        value: Option<Value>,
         aggs: &[AggState],
     ) -> Result<(), OpError> {
-        match (self, state) {
-            (SuperAggSpec::CountDistinct, SuperAggState::CountDistinct(n)) => {
+        match (self, state, value) {
+            (SuperAggSpec::CountDistinct, SuperAggState::CountDistinct(n), None) => {
                 *n = n.saturating_sub(1);
             }
             (
-                SuperAggSpec::KthSmallest { expr, .. },
+                SuperAggSpec::KthSmallest { .. },
                 SuperAggState::KthSmallest { tracker, len, .. },
+                Some(v),
             ) => {
-                let mut ctx = EvalCtx { group_vars: Some(group_key), ..EvalCtx::empty("SUPERAGG") };
-                let v = OrdValue(expr.eval(&mut ctx)?);
+                let v = OrdValue(v);
                 if let Some(count) = tracker.get_mut(&v) {
                     *count -= 1;
                     if *count == 0 {
@@ -188,9 +203,8 @@ impl SuperAggSpec {
                     *len -= 1;
                 }
             }
-            (SuperAggSpec::Extreme { expr, .. }, SuperAggState::Extreme { tracker, .. }) => {
-                let mut ctx = EvalCtx { group_vars: Some(group_key), ..EvalCtx::empty("SUPERAGG") };
-                let v = OrdValue(expr.eval(&mut ctx)?);
+            (SuperAggSpec::Extreme { .. }, SuperAggState::Extreme { tracker, .. }, Some(v)) => {
+                let v = OrdValue(v);
                 if let Some(count) = tracker.get_mut(&v) {
                     *count -= 1;
                     if *count == 0 {
@@ -198,7 +212,7 @@ impl SuperAggSpec {
                     }
                 }
             }
-            (SuperAggSpec::Sum { agg_slot, .. }, SuperAggState::Sum(acc)) => {
+            (SuperAggSpec::Sum { agg_slot, .. }, SuperAggState::Sum(acc), None) => {
                 let gv = aggs
                     .get(*agg_slot)
                     .ok_or_else(|| {
@@ -251,22 +265,22 @@ impl SuperAggState {
 mod tests {
     use super::*;
 
-    fn key(vals: Vec<Value>) -> Vec<Value> {
-        vals
+    fn key(v: u64) -> Option<Value> {
+        Some(Value::U64(v))
     }
 
     #[test]
     fn count_distinct_tracks_adds_and_removes() {
         let spec = SuperAggSpec::CountDistinct;
         let mut s = spec.init();
-        spec.on_group_add(&mut s, &key(vec![Value::U64(1)])).unwrap();
-        spec.on_group_add(&mut s, &key(vec![Value::U64(2)])).unwrap();
+        spec.on_group_add(&mut s, None).unwrap();
+        spec.on_group_add(&mut s, None).unwrap();
         assert_eq!(s.value(), Value::U64(2));
-        spec.on_group_remove(&mut s, &key(vec![Value::U64(1)]), &[]).unwrap();
+        spec.on_group_remove(&mut s, None, &[]).unwrap();
         assert_eq!(s.value(), Value::U64(1));
         // Saturates rather than underflows.
-        spec.on_group_remove(&mut s, &key(vec![Value::U64(2)]), &[]).unwrap();
-        spec.on_group_remove(&mut s, &key(vec![Value::U64(3)]), &[]).unwrap();
+        spec.on_group_remove(&mut s, None, &[]).unwrap();
+        spec.on_group_remove(&mut s, None, &[]).unwrap();
         assert_eq!(s.value(), Value::U64(0));
     }
 
@@ -275,10 +289,10 @@ mod tests {
         let spec = SuperAggSpec::KthSmallest { expr: Expr::GroupVar(0), k: 3 };
         let mut s = spec.init();
         assert_eq!(s.value(), Value::U64(u64::MAX));
-        spec.on_group_add(&mut s, &key(vec![Value::U64(10)])).unwrap();
-        spec.on_group_add(&mut s, &key(vec![Value::U64(20)])).unwrap();
+        spec.on_group_add(&mut s, key(10)).unwrap();
+        spec.on_group_add(&mut s, key(20)).unwrap();
         assert_eq!(s.value(), Value::U64(u64::MAX), "still warming up");
-        spec.on_group_add(&mut s, &key(vec![Value::U64(30)])).unwrap();
+        spec.on_group_add(&mut s, key(30)).unwrap();
         assert_eq!(s.value(), Value::U64(30));
     }
 
@@ -287,10 +301,10 @@ mod tests {
         let spec = SuperAggSpec::KthSmallest { expr: Expr::GroupVar(0), k: 2 };
         let mut s = spec.init();
         for v in [50u64, 10, 40, 20] {
-            spec.on_group_add(&mut s, &key(vec![Value::U64(v)])).unwrap();
+            spec.on_group_add(&mut s, key(v)).unwrap();
         }
         assert_eq!(s.value(), Value::U64(20));
-        spec.on_group_remove(&mut s, &key(vec![Value::U64(10)]), &[]).unwrap();
+        spec.on_group_remove(&mut s, key(10), &[]).unwrap();
         assert_eq!(s.value(), Value::U64(40));
     }
 
@@ -299,30 +313,27 @@ mod tests {
         let spec = SuperAggSpec::KthSmallest { expr: Expr::GroupVar(0), k: 3 };
         let mut s = spec.init();
         for v in [5u64, 5, 5, 9] {
-            spec.on_group_add(&mut s, &key(vec![Value::U64(v)])).unwrap();
+            spec.on_group_add(&mut s, key(v)).unwrap();
         }
         assert_eq!(s.value(), Value::U64(5));
-        spec.on_group_remove(&mut s, &key(vec![Value::U64(5)]), &[]).unwrap();
+        spec.on_group_remove(&mut s, key(5), &[]).unwrap();
         assert_eq!(s.value(), Value::U64(9));
         // Removing a value that is not tracked is a no-op.
-        spec.on_group_remove(&mut s, &key(vec![Value::U64(77)]), &[]).unwrap();
+        spec.on_group_remove(&mut s, key(77), &[]).unwrap();
         assert_eq!(s.value(), Value::U64(9));
     }
 
     #[test]
     fn sum_super_adds_tuples_and_subtracts_groups() {
-        use sso_types::Tuple;
         let spec = SuperAggSpec::Sum { expr: Expr::Column(0), agg_slot: 0 };
         let mut s = spec.init();
         for v in [10u64, 20, 30] {
-            let t = Tuple::new(vec![Value::U64(v)]);
-            let mut ctx = EvalCtx { tuple: Some(&t), ..EvalCtx::empty("WHERE") };
-            spec.on_tuple(&mut s, &mut ctx).unwrap();
+            spec.on_tuple(&mut s, Value::U64(v)).unwrap();
         }
         assert_eq!(s.value(), Value::U64(60));
         // Evict a group whose sum aggregate is 30.
         let aggs = vec![AggState::Sum(Value::U64(30))];
-        spec.on_group_remove(&mut s, &[], &aggs).unwrap();
+        spec.on_group_remove(&mut s, None, &aggs).unwrap();
         assert_eq!(s.value(), Value::U64(30));
     }
 
@@ -334,19 +345,19 @@ mod tests {
         let mut smax = max_spec.init();
         assert_eq!(smin.value(), Value::Null);
         for v in [30u64, 10, 50, 10] {
-            min_spec.on_group_add(&mut smin, &[Value::U64(v)]).unwrap();
-            max_spec.on_group_add(&mut smax, &[Value::U64(v)]).unwrap();
+            min_spec.on_group_add(&mut smin, key(v)).unwrap();
+            max_spec.on_group_add(&mut smax, key(v)).unwrap();
         }
         assert_eq!(smin.value(), Value::U64(10));
         assert_eq!(smax.value(), Value::U64(50));
         // Evict one 10: a duplicate remains, min unchanged.
-        min_spec.on_group_remove(&mut smin, &[Value::U64(10)], &[]).unwrap();
+        min_spec.on_group_remove(&mut smin, key(10), &[]).unwrap();
         assert_eq!(smin.value(), Value::U64(10));
         // Evict the other: min moves to 30.
-        min_spec.on_group_remove(&mut smin, &[Value::U64(10)], &[]).unwrap();
+        min_spec.on_group_remove(&mut smin, key(10), &[]).unwrap();
         assert_eq!(smin.value(), Value::U64(30));
         // Evict the max: max moves down.
-        max_spec.on_group_remove(&mut smax, &[Value::U64(50)], &[]).unwrap();
+        max_spec.on_group_remove(&mut smax, key(50), &[]).unwrap();
         assert_eq!(smax.value(), Value::U64(30));
     }
 
@@ -363,6 +374,6 @@ mod tests {
     fn mismatched_state_errors() {
         let spec = SuperAggSpec::CountDistinct;
         let mut s = SuperAggState::Sum(Value::Null);
-        assert!(spec.on_group_add(&mut s, &[]).is_err());
+        assert!(spec.on_group_add(&mut s, None).is_err());
     }
 }

@@ -13,8 +13,7 @@
 //! `(window, rows)` per consumer: consumers keep their full residual
 //! predicates, so sharing changes only *work*, never *output*.
 
-use sso_core::expr::EvalCtx;
-use sso_core::{Expr, OpError, SamplingOperator, WindowOutput};
+use sso_core::{CompiledPred, Env, Expr, OpError, SamplingOperator, Scope, WindowOutput};
 use sso_types::Packet;
 
 use crate::engine::NodeStats;
@@ -73,15 +72,18 @@ pub fn run_fanout_shared(
         .collect();
     let mut first_uts = None;
     let mut last_uts = 0u64;
+    let prefilter = plan
+        .prefilter
+        .as_ref()
+        .map(|e| CompiledPred::lower(e, Scope::tuple_only("shared prefilter")));
 
     let feed = |tuple: &sso_types::Tuple,
                 plan: &mut SharedQueryPlan,
                 group_windows: &mut [Vec<WindowOutput>],
                 group_stats: &mut [NodeStats]|
      -> Result<(), OpError> {
-        if let Some(pred) = &plan.prefilter {
-            let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("shared prefilter") };
-            if !pred.eval_bool(&mut ctx)? {
+        if let Some(pred) = &prefilter {
+            if !pred.eval(&mut Env::tuple(tuple))? {
                 return Ok(());
             }
         }

@@ -69,12 +69,29 @@ impl SampledSpan {
         if self.calls.fetch_add(1, Relaxed) & self.mask != 0 {
             return None;
         }
-        Some(SpanGuard {
+        Some(self.guard())
+    }
+
+    /// Enter the span as the `n`-th call of a single-threaded caller
+    /// that counts its own calls: sampled when `n` is a multiple of
+    /// `2^k`, with the same scaling as [`Self::start`]. It skips the
+    /// shared counter's atomic add, which on a hot path costing ~100 ns
+    /// a call is a measurable share.
+    #[inline]
+    pub fn start_nth(&self, n: u64) -> Option<SpanGuard> {
+        if n & self.mask != 0 || !self.enabled.load(Relaxed) {
+            return None;
+        }
+        Some(self.guard())
+    }
+
+    fn guard(&self) -> SpanGuard {
+        SpanGuard {
             hist: self.hist.clone(),
             busy: self.busy.clone(),
             scale: self.mask + 1,
             sw: Stopwatch::start(),
-        })
+        }
     }
 }
 
@@ -117,6 +134,21 @@ mod tests {
         }
         let snap = r.snapshot();
         assert_eq!(snap.get("t_ns").unwrap().hits(), 0);
+    }
+
+    #[test]
+    fn caller_counted_sampling_matches_the_shared_counter() {
+        let r = Registry::new();
+        let span = SampledSpan::register(&r, "t_ns", "t_busy_ns", "", 3);
+        let taken = (0..64u64).filter_map(|n| span.start_nth(n)).count();
+        assert_eq!(taken, 8, "1 in 2^3 of 64 calls");
+        let snap = r.snapshot();
+        let hist = snap.get("t_ns").unwrap();
+        assert_eq!(hist.hits(), 8);
+        assert_eq!(snap.value("t_busy_ns"), hist.scalar() * 8.0);
+        let off = Registry::disabled();
+        let span = SampledSpan::register(&off, "t_ns", "t_busy_ns", "", 3);
+        assert!((0..64u64).all(|n| span.start_nth(n).is_none()));
     }
 
     #[test]

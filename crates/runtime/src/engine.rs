@@ -44,7 +44,7 @@
 //!   Router death is a degraded window, not a dead process.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -53,8 +53,8 @@ use std::time::Duration;
 
 use rustc_hash::FxHasher;
 use sso_core::{
-    panic_message, EvalCtx, Expr, OpError, OperatorMetrics, OperatorSpec, SamplingOperator,
-    ShardPlan, SizingHints, SpillStats, WindowOutput,
+    panic_message, CompiledExpr, CompiledPred, Env, Expr, OpError, OperatorMetrics, OperatorSpec,
+    SamplingOperator, Scope, ShardPlan, SizingHints, SpillStats, WindowOutput,
 };
 use sso_faults::{FaultPlan, WorkerFaultSchedule};
 use sso_obs::{
@@ -66,7 +66,7 @@ use sso_profile::{
 use sso_store::{FsyncPolicy, PagedGroupTable, ShardStore, StoreConfig, WindowRecord};
 use sso_sync::hint::Backoff;
 use sso_sync::{SyncBool, SyncUsize};
-use sso_types::Tuple;
+use sso_types::{Tuple, Value};
 
 use crate::barrier::MergeBarrier;
 use crate::merge::ShardPartial;
@@ -695,10 +695,9 @@ enum Router {
     /// No partition key: deal tuples out cyclically by global stream
     /// position (valid only with a key-free merge rule).
     RoundRobin,
-    /// Every partition expression is a plain input column.
-    Columns(Vec<usize>),
-    /// General tuple-phase expressions.
-    Exprs(Vec<Expr>),
+    /// Hash of the partition expressions, lowered as GROUP BY
+    /// expressions (a plain column is a direct read).
+    Keyed(Vec<CompiledExpr>),
 }
 
 impl Router {
@@ -706,18 +705,9 @@ impl Router {
         if plan.partition_exprs.is_empty() {
             return Router::RoundRobin;
         }
-        let cols: Option<Vec<usize>> = plan
-            .partition_exprs
-            .iter()
-            .map(|e| match e {
-                Expr::Column(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
-        match cols {
-            Some(cols) => Router::Columns(cols),
-            None => Router::Exprs(plan.partition_exprs.clone()),
-        }
+        Router::Keyed(
+            plan.partition_exprs.iter().map(|e| CompiledExpr::lower(e, Scope::GROUP_BY)).collect(),
+        )
     }
 
     /// The shard for the tuple at 0-based global stream position
@@ -725,23 +715,15 @@ impl Router {
     fn route(&self, tuple: &Tuple, index: u64, shards: usize) -> usize {
         match self {
             Router::RoundRobin => (index % shards as u64) as usize,
-            Router::Columns(cols) => {
+            Router::Keyed(exprs) => {
                 let mut h = FxHasher::default();
-                for &c in cols.iter() {
-                    tuple.get(c).hash(&mut h);
-                }
-                pick_shard(h.finish(), shards)
-            }
-            Router::Exprs(exprs) => {
-                let mut h = FxHasher::default();
-                for e in exprs.iter() {
-                    let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("GROUP BY") };
-                    match e.eval(&mut ctx) {
-                        Ok(v) => v.hash(&mut h),
-                        // The worker evaluates the same expression in its
-                        // GROUP BY and will surface the error; any shard
-                        // will do for the faulty tuple.
-                        Err(_) => return 0,
+                let mut env = Env::tuple(tuple);
+                for e in exprs {
+                    // The worker evaluates the same expression in its
+                    // GROUP BY and will surface the error; any shard
+                    // will do for the faulty tuple.
+                    if e.hash_into(&mut env, &mut h).is_err() {
+                        return 0;
                     }
                 }
                 pick_shard(h.finish(), shards)
@@ -763,16 +745,18 @@ pub fn route_stream<'a>(
     tuples.into_iter().enumerate().map(|(i, t)| router.route(t, i as u64, shards)).collect()
 }
 
+/// A spec's window-defining expressions, lowered for [`window_key`].
+fn lower_window_exprs(spec: &OperatorSpec) -> Vec<CompiledExpr> {
+    spec.window_exprs().iter().map(|e| CompiledExpr::lower(e, Scope::GROUP_BY)).collect()
+}
+
 /// Evaluate the window-defining expressions against a raw tuple. `None`
 /// on evaluation error (the operator will surface the error itself when
 /// the tuple is processed live).
-fn window_key(wexprs: &[Expr], tuple: &Tuple) -> Option<Tuple> {
-    let mut vals = Vec::with_capacity(wexprs.len());
-    for e in wexprs {
-        let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("GROUP BY") };
-        vals.push(e.eval(&mut ctx).ok()?);
-    }
-    Some(Tuple::new(vals))
+fn window_key(wexprs: &[CompiledExpr], tuple: &Tuple) -> Option<Tuple> {
+    let mut env = Env::tuple(tuple);
+    let vals: Result<Vec<Value>, OpError> = wexprs.iter().map(|e| e.eval(&mut env)).collect();
+    vals.ok().map(Tuple::new)
 }
 
 /// `a <= b` under pairwise value comparison — the resume-time
@@ -827,7 +811,7 @@ struct Worker<'a, F> {
     tuple_count: u64,
     windows: Vec<WindowOutput>,
     uncovered: Vec<(Tuple, u64)>,
-    wexprs: Vec<Expr>,
+    wexprs: Vec<CompiledExpr>,
     faults: WorkerFaultSchedule,
     supervision: Supervision,
     stats: ShardStats,
@@ -1423,13 +1407,10 @@ struct LaneOutcome {
 }
 
 #[inline]
-fn passes_prefilter(prefilter: Option<&Expr>, tuple: &Tuple) -> bool {
+fn passes_prefilter(prefilter: Option<&CompiledPred>, tuple: &Tuple) -> bool {
     match prefilter {
         None => true,
-        Some(pred) => {
-            let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("shared prefilter") };
-            pred.eval_bool(&mut ctx).unwrap_or(true)
-        }
+        Some(pred) => pred.eval(&mut Env::tuple(tuple)).unwrap_or(true),
     }
 }
 
@@ -1452,8 +1433,8 @@ fn add_lane_uncovered(uncovered: &mut Vec<(Tuple, u64)>, key: Tuple, n: u64) {
 fn route_segment(
     lane: &mut RouterLane<'_>,
     router_def: &Router,
-    wexprs: &[Expr],
-    prefilter: Option<&Expr>,
+    wexprs: &[CompiledExpr],
+    prefilter: Option<&CompiledPred>,
     supervision: Supervision,
     crash_at: Option<u64>,
     crashed: &SyncBool,
@@ -1716,8 +1697,12 @@ where
     // Lane quarantine attributes unrouted tuples to the window they
     // would have landed in; every shard shares the same window shape,
     // so shard 0's expressions serve all lanes.
-    let lane_wexprs: Vec<Expr> =
-        shard_setups.first().map(|(op, ..)| op.spec().window_exprs()).unwrap_or_default();
+    let lane_wexprs: Vec<CompiledExpr> =
+        shard_setups.first().map(|(op, ..)| lower_window_exprs(op.spec())).unwrap_or_default();
+    let prefilter = cfg
+        .shared_prefilter
+        .as_deref()
+        .map(|e| CompiledPred::lower(e, Scope::tuple_only("shared prefilter")));
     // Routing is stateless, so one definition serves every lane.
     let router_def = Router::new(plan);
     // Lineage tracing: the merge path owns a lane here; router lanes
@@ -1794,7 +1779,7 @@ where
                         .enumerate()
                         .map(|(i, ((op, store, watermark, recovered), rxs))| {
                             let shard = first_shard + i;
-                            let wexprs = op.spec().window_exprs();
+                            let wexprs = lower_window_exprs(op.spec());
                             let faults = cfg_faults
                                 .as_ref()
                                 .map(|p| p.worker_schedule(shard))
@@ -1969,8 +1954,8 @@ where
                 let crashed = Arc::clone(&crashed);
                 let lane_barrier = Arc::clone(&lane_barrier);
                 let router_def = &router_def;
-                let wexprs: &[Expr] = &lane_wexprs;
-                let prefilter = cfg.shared_prefilter.as_deref();
+                let wexprs: &[CompiledExpr] = &lane_wexprs;
+                let prefilter = prefilter.as_ref();
                 let supervision = cfg.supervision;
                 let profile = cfg.profile.clone();
                 lane_handles.push(s.spawn(move || {

@@ -9,8 +9,8 @@ cargo fmt --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== cargo test =="
-cargo test -q
+echo "== cargo test (workspace: every crate's unit and integration tests) =="
+cargo test --workspace -q
 
 echo "== sharded runtime determinism suite =="
 cargo test -q --test sharded
