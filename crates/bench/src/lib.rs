@@ -15,6 +15,10 @@
 //! | `sweep_n` | §7.1 in-text: accuracy at N ∈ {100, 1000, 10000} |
 //! | `sweep_gamma` | §7.2 in-text: CPU vs cleaning trigger γ |
 //! | `sweep_relaxation` | ablation: relaxation factor f ∈ {1..20} |
+//! | `transform_hh` | §8: heavy hitters at the operator vs aggregated in the low-level query |
+//! | `runtime_scaling` | sharded runtime throughput at 1/2/4/8 shards vs the two-thread pipeline (`BENCH_runtime.json`) |
+//! | `multiquery_sharing` | §7.1 simultaneous queries: optimizer-shared plan vs 16 unshared operators (`BENCH_rewrite.json`) |
+//! | `overhead` | §7 cost at line rate: supervision, telemetry, durable-store and profiling overhead against one shared baseline (`BENCH_overhead.json`) |
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};

@@ -650,6 +650,34 @@ mod tests {
             let plan = FaultPlan { seed, events };
             proptest::prop_assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
         }
+
+        /// Arbitrary text parses to a plan or a `PlanParseError`, never
+        /// a panic: directive words, `=`, `#`, non-ASCII, huge and
+        /// negative integers, in any order.
+        #[test]
+        fn parse_never_panics_prop(
+            tokens in proptest::collection::vec(arb_plan_token(), 0..24),
+        ) {
+            if let Err(e) = FaultPlan::parse(&tokens.concat()) {
+                proptest::prop_assert!(e.line >= 1);
+            }
+        }
+    }
+
+    fn arb_plan_token() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        // Directive words, field keys, separators, non-ASCII and
+        // integers past u64/i64 range, split on `|`.
+        const WORDS: &str = "seed|panic|stall|burst|reorder|skew|malformed|crash|shard=|router=|\
+            at=|ms=|copies=|window=|len=|offset=|every=|=|==|#| |\n|\t|-|é|λ=|🦀|\
+            18446744073709551616|99999999999999999999999|-9223372036854775809";
+        let words: Vec<&str> = WORDS.split('|').collect();
+        prop_oneof![
+            (0..words.len()).prop_map(move |i| words[i].to_string()),
+            any::<u64>().prop_map(|n| n.to_string()),
+            any::<i64>().prop_map(|n| n.to_string()),
+            "\\PC{0,12}",
+        ]
     }
 
     fn arb_event() -> impl proptest::strategy::Strategy<Value = FaultEvent> {

@@ -127,7 +127,9 @@ pub fn decode_dump(bytes: &[u8]) -> Result<Dump, String> {
         return Err("trailing bytes in header frame".into());
     }
 
-    let mut lanes = Vec::with_capacity(lane_count as usize);
+    // Counts come from the input: clamp the pre-allocation so a crafted
+    // (validly checksummed) frame cannot request gigabytes up front.
+    let mut lanes = Vec::with_capacity((lane_count as usize).min(1 << 16));
     for _ in 0..lane_count {
         let frame = take_frame(&mut r)?;
         let mut fr = Reader::new(frame);
@@ -136,7 +138,7 @@ pub fn decode_dump(bytes: &[u8]) -> Result<Dump, String> {
         let index = fr.take_u32().map_err(|e| e.to_string())?;
         let dropped = fr.take_u64().map_err(|e| e.to_string())?;
         let count = fr.take_u32().map_err(|e| e.to_string())?;
-        let mut events = Vec::with_capacity(count as usize);
+        let mut events = Vec::with_capacity((count as usize).min(1 << 16));
         for _ in 0..count {
             let mut w = [0u64; 4];
             for word in &mut w {
@@ -216,6 +218,36 @@ mod tests {
         assert!(decode_dump(&bytes).is_err());
         assert!(decode_dump(&bytes[..bytes.len() - 2]).is_err(), "torn tail");
         assert!(decode_dump(b"NOTADUMP").is_err());
+    }
+
+    fn preamble() -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        put_u32(&mut out, VERSION);
+        out
+    }
+
+    #[test]
+    fn crafted_lane_count_is_an_error_not_an_abort() {
+        let mut bytes = preamble();
+        let mut header = vec![DumpReason::Crash as u8];
+        put_u32(&mut header, u32::MAX);
+        put_frame(&mut bytes, &header);
+        assert_eq!(bytes.len(), 29);
+        assert!(decode_dump(&bytes).is_err());
+    }
+
+    #[test]
+    fn crafted_event_count_is_an_error_not_an_abort() {
+        let mut bytes = preamble();
+        let mut header = vec![DumpReason::Crash as u8];
+        put_u32(&mut header, 1);
+        put_frame(&mut bytes, &header);
+        let mut lane = vec![LaneKind::Worker as u8];
+        put_u32(&mut lane, 0);
+        put_u64(&mut lane, 0);
+        put_u32(&mut lane, u32::MAX);
+        put_frame(&mut bytes, &lane);
+        assert!(decode_dump(&bytes).is_err());
     }
 
     #[test]

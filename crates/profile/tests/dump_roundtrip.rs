@@ -3,12 +3,14 @@
 //! any single-bit corruption of the framed payloads. This is what lets
 //! `sso trace` trust a dump written moments before a crash: either the
 //! frames checksum clean and decode to exactly what was recorded, or
-//! the file fails loudly.
+//! the file fails loudly. Arbitrary bytes, including validly framed
+//! payloads with absurd counts, must decode or fail — never panic.
 
 use proptest::prelude::*;
 use sso_profile::{
     decode_dump, encode_dump, Dump, DumpReason, Event, LaneDump, LaneKind, Stage, AUX_MAX,
 };
+use sso_types::wire::{checksum, put_u32, put_u64};
 
 fn stage_strategy() -> impl Strategy<Value = Stage> {
     prop_oneof![
@@ -109,5 +111,29 @@ proptest! {
         if bytes.len() > cut {
             prop_assert!(decode_dump(&bytes[..bytes.len() - cut]).is_err());
         }
+    }
+
+    #[test]
+    fn arbitrary_bytes_decode_or_fail_cleanly(
+        raw in proptest::collection::vec(any::<u8>(), 0..256),
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(prop_oneof![0u8..8, any::<u8>()], 0..48),
+            0..4,
+        ),
+    ) {
+        // Ok or Err are both fine; a panic or an abort fails the test.
+        let _ = decode_dump(&raw);
+        // Raw bytes rarely pass the magic and checksums, so also wrap
+        // arbitrary payloads (small bytes favored: valid reason and
+        // lane-kind tags) in valid frames behind a real preamble. That
+        // reaches the header and lane parsers, their counts included.
+        let mut framed = encode_dump(&Dump { reason: DumpReason::Manual, lanes: vec![] });
+        framed.truncate(12);
+        for p in &payloads {
+            put_u64(&mut framed, checksum(p));
+            put_u32(&mut framed, p.len() as u32);
+            framed.extend_from_slice(p);
+        }
+        let _ = decode_dump(&framed);
     }
 }
